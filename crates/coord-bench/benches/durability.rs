@@ -1,5 +1,9 @@
 //! Durability cost and recovery speed of the `coord-store` subsystem.
 //!
+//! Every run drives `DurableSharedEngine`: the single-writer rows use
+//! one shard (one WAL stream, strict prefix), `sharded_durable_4_threads`
+//! uses four.
+//!
 //! Workload: `n` queries in open partner chains of 8 (every member
 //! requires its successor and the final partner never arrives), so the
 //! whole workload stays pending — the regime where durability matters:
@@ -19,11 +23,13 @@
 //!   within 2× of the snapshot-free path.
 
 use coord_core::engine::CoordinationEngine;
-use coord_core::persist::{DurabilityOptions, DurableCoordinationEngine, DurableSharedEngine};
+use coord_core::persist::{DurabilityOptions, DurableSharedEngine};
 use coord_core::EntangledQuery;
+use coord_db::Database;
 use coord_gen::workloads::{partner_query, pool_db};
 use coord_store::temp::TempDir;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::path::Path;
 use std::time::Instant;
 
 const CHAIN: usize = 8;
@@ -57,6 +63,15 @@ fn opts(snapshot_every: Option<u64>) -> DurabilityOptions {
     }
 }
 
+/// The single-writer durable engine: one shard, one WAL stream.
+fn open_single<'a>(
+    db: &'a Database,
+    dir: &Path,
+    snapshot_every: Option<u64>,
+) -> DurableSharedEngine<'a> {
+    DurableSharedEngine::open_with(db, dir, 1, opts(snapshot_every)).unwrap()
+}
+
 fn sorted_names<'a>(queries: impl IntoIterator<Item = &'a EntangledQuery>) -> Vec<String> {
     let mut names: Vec<String> = queries.into_iter().map(|q| q.name().to_string()).collect();
     names.sort_unstable();
@@ -79,8 +94,7 @@ fn bench_durability(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("live_wal", n), &arrivals, |b, arrivals| {
             b.iter(|| {
                 let dir = TempDir::new("bench-live");
-                let mut engine =
-                    DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+                let engine = open_single(&db, dir.path(), None);
                 for q in arrivals.iter().cloned() {
                     engine.submit(q).unwrap();
                 }
@@ -97,9 +111,7 @@ fn bench_durability(c: &mut Criterion) {
             |b, arrivals| {
                 b.iter(|| {
                     let dir = TempDir::new("bench-snap");
-                    let mut engine =
-                        DurableCoordinationEngine::open_with(&db, dir.path(), opts(Some(every)))
-                            .unwrap();
+                    let engine = open_single(&db, dir.path(), Some(every));
                     for q in arrivals.iter().cloned() {
                         engine.submit(q).unwrap();
                     }
@@ -114,16 +126,14 @@ fn bench_durability(c: &mut Criterion) {
         // timed loop).
         let replay_dir = TempDir::new("bench-replay");
         {
-            let mut engine =
-                DurableCoordinationEngine::open_with(&db, replay_dir.path(), opts(None)).unwrap();
+            let engine = open_single(&db, replay_dir.path(), None);
             for q in arrivals.iter().cloned() {
                 engine.submit(q).unwrap();
             }
         } // drop = crash (there is no clean shutdown)
         group.bench_with_input(BenchmarkId::new("replay", n), &replay_dir, |b, dir| {
             b.iter(|| {
-                let engine =
-                    DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+                let engine = open_single(&db, dir.path(), None);
                 assert_eq!(engine.recovery_report().records_replayed, n);
                 assert_eq!(engine.pending().len(), n);
                 engine.pending().len()
@@ -163,8 +173,7 @@ fn bench_durability(c: &mut Criterion) {
         let mut reference = CoordinationEngine::new(&db); // uninterrupted twin
         let live_start = Instant::now();
         {
-            let mut live =
-                DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+            let live = open_single(&db, dir.path(), None);
             for q in arrivals.iter().cloned() {
                 live.submit(q).unwrap();
             }
@@ -178,8 +187,7 @@ fn bench_durability(c: &mut Criterion) {
         // 2. Recovery replay (timed) must be at least as fast: it does
         //    no component evaluation.
         let replay_start = Instant::now();
-        let mut recovered =
-            DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+        let recovered = open_single(&db, dir.path(), None);
         let replay_elapsed = replay_start.elapsed();
         assert_eq!(recovered.recovery_report().records_replayed, n);
         assert!(
@@ -191,7 +199,7 @@ fn bench_durability(c: &mut Criterion) {
         //    pending set, same component structure, and the next
         //    coordination delivers identical answers.
         assert_eq!(
-            sorted_names(recovered.pending()),
+            sorted_names(&recovered.pending()),
             sorted_names(reference.pending().iter().copied()),
             "recovered pending set diverged"
         );
@@ -212,16 +220,13 @@ fn bench_durability(c: &mut Criterion) {
         let snap_dir = TempDir::new("durability-analysis-snap");
         let snap_start = Instant::now();
         {
-            let mut live =
-                DurableCoordinationEngine::open_with(&db, snap_dir.path(), opts(Some(every)))
-                    .unwrap();
+            let live = open_single(&db, snap_dir.path(), Some(every));
             for q in arrivals.iter().cloned() {
                 live.submit(q).unwrap();
             }
         }
         let snap_elapsed = snap_start.elapsed();
-        let snap_recovered =
-            DurableCoordinationEngine::open_with(&db, snap_dir.path(), opts(Some(every))).unwrap();
+        let snap_recovered = open_single(&db, snap_dir.path(), Some(every));
         let report = snap_recovered.recovery_report().clone();
         assert!(report.had_snapshot);
         assert!(

@@ -96,6 +96,6 @@ pub use differential::{ClosureCache, GroundWork, MemoStats};
 pub use error::CoordError;
 pub use instance::QuerySet;
 pub use outcome::FoundSet;
-pub use persist::{DurableCoordinationEngine, DurableSharedEngine};
+pub use persist::DurableSharedEngine;
 pub use query::{EntangledQuery, QueryBuilder, QueryId};
 pub use semantics::{check_coordinating_set, Grounding, Violation};

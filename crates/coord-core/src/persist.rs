@@ -4,13 +4,13 @@
 //! * [`EntangledQueryCodec`] — deterministic byte serialization of
 //!   [`EntangledQuery`] (name, variable table, postcondition/head/body
 //!   atoms) for the log and snapshots,
-//! * [`DurableCoordinationEngine`] — the single-writer engine with a
-//!   write-ahead log: strict prefix semantics (state after recovery is
-//!   exactly the state after some prefix of acknowledged submits),
 //! * [`DurableSharedEngine`] — the sharded service with a log stream
-//!   per shard (records spread round-robin across streams; recovery is
-//!   order-independent) under a shared snapshot epoch; `SharedEngine`
-//!   callers opt into durability by swapping one constructor:
+//!   per shard (each record appended to the stream of the shard that
+//!   ran the submit; recovery is order-independent) under a shared
+//!   snapshot epoch. With one shard and one submitting thread it has
+//!   strict prefix semantics (state after recovery is exactly the state
+//!   after some prefix of acknowledged submits). `SharedEngine` callers
+//!   opt into durability by swapping one constructor:
 //!
 //! ```no_run
 //! use coord_core::persist::DurableSharedEngine;
@@ -27,7 +27,7 @@
 //! component structure and subsequent coordination results match an
 //! uninterrupted run (property-tested in `tests/durability_props.rs`).
 
-use crate::engine::{QueryAnswer, SccEvaluator, SubmitResult};
+use crate::engine::{SccEvaluator, SubmitResult};
 use crate::error::CoordError;
 use crate::query::EntangledQuery;
 use coord_db::{Atom, Database, Term, Value, Var};
@@ -138,138 +138,10 @@ fn durable_err(e: DurableError<CoordError>) -> CoordError {
     }
 }
 
-/// The single-writer online engine with WAL + snapshot durability:
-/// [`crate::engine::CoordinationEngine`] semantics, crash-safe.
-pub struct DurableCoordinationEngine<'a> {
-    db: &'a Database,
-    inner: coord_store::DurableEngine<EntangledQuery, SccEvaluator<'a>, EntangledQueryCodec>,
-}
-
-impl<'a> DurableCoordinationEngine<'a> {
-    /// Open (or create) a durable engine at `dir` with default
-    /// durability options, recovering any pending set left by a crash.
-    pub fn open(db: &'a Database, dir: impl AsRef<Path>) -> Result<Self, CoordError> {
-        Self::open_with(db, dir, DurabilityOptions::default())
-    }
-
-    /// Open with explicit sync/snapshot configuration.
-    pub fn open_with(
-        db: &'a Database,
-        dir: impl AsRef<Path>,
-        options: DurabilityOptions,
-    ) -> Result<Self, CoordError> {
-        Self::open_with_obs(db, dir, options, ObsRegistry::new())
-    }
-
-    /// Open with an explicit observability registry shared by the store
-    /// and the engine; the evaluator's closure cache registers its
-    /// `memo_*` counters there too.
-    pub fn open_with_obs(
-        db: &'a Database,
-        dir: impl AsRef<Path>,
-        options: DurabilityOptions,
-        obs: ObsRegistry,
-    ) -> Result<Self, CoordError> {
-        db.attach_obs(&obs);
-        let evaluator = SccEvaluator::new(db);
-        if let Some(cache) = evaluator.closure_cache() {
-            cache.attach(&obs);
-        }
-        let inner = coord_store::DurableEngine::open_with_obs(
-            dir,
-            evaluator,
-            EntangledQueryCodec,
-            options,
-            obs,
-        )
-        .map_err(store_err)?;
-        Ok(DurableCoordinationEngine { db, inner })
-    }
-
-    /// Submit a query; the accepted mutation is logged before this
-    /// returns, so an acknowledged submit survives a crash.
-    pub fn submit(&mut self, query: EntangledQuery) -> Result<SubmitResult, CoordError> {
-        query.validate(self.db)?;
-        let outcome = self.inner.submit(query).map_err(durable_err)?;
-        Ok(SubmitResult {
-            answers: outcome.delivery.unwrap_or_default(),
-        })
-    }
-
-    /// Submit a batch, collecting every delivered answer.
-    pub fn submit_all(
-        &mut self,
-        queries: impl IntoIterator<Item = EntangledQuery>,
-    ) -> Result<Vec<QueryAnswer>, CoordError> {
-        let mut out = Vec::new();
-        for q in queries {
-            out.extend(self.submit(q)?.answers);
-        }
-        Ok(out)
-    }
-
-    /// Queries currently buffered.
-    pub fn pending(&self) -> Vec<&EntangledQuery> {
-        self.inner.pending().collect()
-    }
-
-    /// Total queries answered and retired.
-    pub fn delivered(&self) -> usize {
-        self.inner.delivered() as usize
-    }
-
-    /// Number of incrementally maintained components.
-    pub fn component_count(&self) -> usize {
-        self.inner.component_count()
-    }
-
-    /// The engine's incremental-maintenance metrics.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics().snapshot()
-    }
-
-    /// What recovery found when this engine was opened.
-    pub fn recovery_report(&self) -> &RecoveryReport {
-        self.inner.recovery_report()
-    }
-
-    /// Durable-store counters (records, bytes, snapshots, epoch).
-    pub fn store_stats(&self) -> StoreStatsSnapshot {
-        self.inner.store().stats()
-    }
-
-    /// The observability registry shared by the store and the engine.
-    pub fn obs(&self) -> &ObsRegistry {
-        self.inner.obs()
-    }
-
-    /// End offset of the WAL after the last acknowledged submit.
-    pub fn wal_len(&self) -> u64 {
-        self.inner.wal_len()
-    }
-
-    /// Snapshot the pending set now, rotating the WAL epoch.
-    pub fn snapshot(&mut self) -> Result<(), CoordError> {
-        self.inner.snapshot().map_err(store_err)
-    }
-
-    /// The last background rotation failure, if any (cleared on read).
-    /// Submits stay durable through the still-open WAL when a rotation
-    /// fails.
-    pub fn take_snapshot_error(&mut self) -> Option<CoordError> {
-        self.inner.take_snapshot_error().map(store_err)
-    }
-
-    /// Check engine + registry invariants; panics with a description on
-    /// violation.
-    pub fn validate_invariants(&mut self) {
-        self.inner.validate_invariants();
-    }
-}
-
 /// The sharded, thread-safe online service with durability: the
 /// [`crate::engine::SharedEngine`] API plus crash recovery. A WAL
-/// stream per shard (round-robin) under a shared snapshot epoch.
+/// stream per shard under a shared snapshot epoch; each commit record
+/// goes to the stream of the shard that ran its submit.
 pub struct DurableSharedEngine<'a> {
     db: &'a Database,
     inner: coord_store::DurableShardedEngine<EntangledQuery, SccEvaluator<'a>, EntangledQueryCodec>,
@@ -429,6 +301,13 @@ impl<'a> DurableSharedEngine<'a> {
     /// fails.
     pub fn take_snapshot_error(&self) -> Option<CoordError> {
         self.inner.take_snapshot_error().map(store_err)
+    }
+
+    /// Check every shard's invariants plus the durable registry (one
+    /// live seq per pending query); call with no submit in flight.
+    /// Panics with a description on violation.
+    pub fn validate_invariants(&self) {
+        self.inner.validate_invariants();
     }
 }
 

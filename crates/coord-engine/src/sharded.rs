@@ -634,6 +634,18 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         out
     }
 
+    /// Check every shard engine's internal consistency (see
+    /// [`IncrementalEngine::validate_invariants`]), one shard lock at a
+    /// time.
+    ///
+    /// # Panics
+    /// Panics with a description if an invariant is violated.
+    pub fn validate_invariants(&self) {
+        for s in &self.shards {
+            lockrank::ranked(LockRank::ShardEngine, s.engine.lock()).validate_invariants();
+        }
+    }
+
     /// Submit a query: route it to the shard owning its keys (migrating
     /// bridged components first if it spans shards), then run the
     /// incremental submit under that shard's lock only.

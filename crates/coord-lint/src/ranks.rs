@@ -63,8 +63,7 @@ pub enum LockRank {
     StoreState = 30,
     /// One WAL stream's writer mutex (`state.wals[i]`).
     WalStream = 25,
-    /// `DurableShardedEngine::registry` / `DurableEngine::registry`:
-    /// the durable seq registry mutex.
+    /// `DurableShardedEngine::registry`: the durable seq registry mutex.
     Registry = 10,
 }
 

@@ -228,32 +228,39 @@ impl Registry {
 
     /// A point-in-time copy of every registered instrument, sorted by
     /// name. Cold path: locks the registration maps, never a recorder.
+    ///
+    /// Histograms are read *before* counters. A timed span records its
+    /// histogram sample after the counter it times was bumped (the
+    /// engine's `engine_submit_nanos` vs `engine_submits`), so reading
+    /// in this order keeps such a count ≤ its counter within one
+    /// snapshot even while recorders run.
     pub fn snapshot(&self) -> ObsSnapshot {
-        match &self.inner {
-            None => ObsSnapshot::default(),
-            Some(inner) => ObsSnapshot {
-                counters: inner
-                    .counters
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get()))
-                    .collect(),
-                gauges: inner
-                    .gauges
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get()))
-                    .collect(),
-                histograms: inner
-                    .histograms
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.snapshot()))
-                    .collect(),
-            },
+        let Some(inner) = &self.inner else {
+            return ObsSnapshot::default();
+        };
+        let histograms = inner
+            .histograms
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .collect();
+        ObsSnapshot {
+            counters: inner
+                .counters
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            gauges: inner
+                .gauges
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            histograms,
         }
     }
 }

@@ -1,11 +1,9 @@
-//! Durable wrappers around the online coordination engines.
+//! Durable wrapper around the online coordination engine.
 //!
-//! [`DurableEngine`] wraps an [`IncrementalEngine`]; [`DurableShardedEngine`]
-//! wraps a [`ShardedEngine`] with as many WAL streams as shards under a
-//! shared snapshot epoch (records are spread round-robin over the
-//! streams for append parallelism rather than pinned to the owning
-//! shard — recovery is order-independent, so pinning would buy
-//! nothing). Both follow the same commit protocol:
+//! [`DurableShardedEngine`] wraps a [`ShardedEngine`] with as many WAL
+//! streams as shards under a shared snapshot epoch; each commit record
+//! goes to the stream of the shard that ran the submit (see
+//! *Rebalancing and the per-shard streams* below). Its commit protocol:
 //!
 //! 1. apply the submit to the in-memory engine (a rejected submit
 //!    mutates nothing and logs nothing),
@@ -14,7 +12,11 @@
 //! 3. acknowledge the caller.
 //!
 //! A crash before step 2 loses only unacknowledged work; recovery
-//! rebuilds exactly the state produced by the clean record prefix.
+//! rebuilds exactly the state produced by the clean record prefix of
+//! every stream. With one shard there is one stream and records land in
+//! apply order, so a single-threaded caller gets strict prefix
+//! semantics: the recovered state is the state after some prefix of
+//! acknowledged submits.
 //! Replay never re-evaluates components: the log already says which
 //! queries retired, so recovery decodes the surviving pending set and
 //! re-indexes it with `insert_pending` — which is why the `durability`
@@ -26,18 +28,18 @@
 //! wrapper keeps a registry mapping each pending query's encoding to the
 //! seqs that submitted it (a multiset: duplicate queries pop oldest
 //! first — retiring either duplicate reconstructs the same pending
-//! multiset). In the sharded engine the registry entry is made *before*
-//! the engine apply, so a concurrent submit on another thread that
-//! retires the query always finds its seq.
+//! multiset). The registry entry is reserved *before* the engine
+//! apply, so a concurrent submit on another thread that retires the
+//! query always finds its seq.
 //!
-//! ## Sharded acknowledgment window (closed)
+//! ## Acknowledgment window
 //!
-//! With multiple log streams, a submit used to be able to retire a
-//! query whose own commit record (on another stream) had not hit the
-//! log yet: recovery stayed exact — a retire naming a never-logged seq
-//! is simply ignored, and the unlogged query was never acknowledged —
-//! but a *delivered* coordination could mention a partner whose commit
-//! record was lost with the crash. The sharded wrapper now enforces a
+//! With multiple log streams, a submit can retire a query whose own
+//! commit record (on another stream) has not hit the log yet. Recovery
+//! would stay exact — a retire naming a never-logged seq is simply
+//! ignored, and the unlogged query was never acknowledged — but a
+//! *delivered* coordination could mention a partner whose commit record
+//! was lost with the crash. The wrapper therefore enforces a
 //! **per-coordination flush barrier**: the registry tracks, per seq,
 //! whether the submit's commit record has been appended, a retire only
 //! pops seqs whose record is on its stream (waiting out the short
@@ -49,8 +51,7 @@
 //! caveat: if a partner's *append itself failed* (a [`StoreError`]
 //! already surfaced to that partner's submitter), its seq is released
 //! rather than blocking the retirer forever — that degraded-durability
-//! state is explicit on both sides. The single-stream [`DurableEngine`]
-//! has strict prefix semantics and needs none of this.
+//! state is explicit on both sides.
 //!
 //! ## Rebalancing and the per-shard streams
 //!
@@ -69,8 +70,8 @@ use crate::store::{CommitRecord, CoordStore, RecoveryReport, StoreOptions};
 use crate::wal::SyncPolicy;
 use coord_engine::lockrank::{self, LockRank};
 use coord_engine::{
-    ComponentEvaluator, CoordinationQuery, IncrementalEngine, Placement, RebalanceConfig,
-    RebalanceReport, Rebalancer, ShardedEngine, SubmitOutcome,
+    ComponentEvaluator, CoordinationQuery, Placement, RebalanceConfig, RebalanceReport, Rebalancer,
+    ShardedEngine, SubmitOutcome,
 };
 use coord_obs::Registry as ObsRegistry;
 use parking_lot::Mutex;
@@ -108,24 +109,23 @@ impl DurabilityOptions {
 }
 
 /// One registered pending query: its encoding plus where its submit
-/// stands. Sharded submits *reserve* an entry before the engine apply
-/// (so a racing retire on another thread always finds the seq) and
-/// confirm it afterwards; snapshots skip unconfirmed entries — a
-/// reserved entry may belong to a submit the engine is about to reject,
-/// and capturing it would resurrect a query no uninterrupted run ever
-/// held. `logged` flips once the submit's commit record is appended to
-/// its stream (or its append definitively failed): the ack-window
-/// barrier only lets a retire pop logged entries, so a delivered
-/// coordination can never name a partner whose record is still in
-/// flight.
+/// stands. A submit *reserves* an entry before the engine apply (so a
+/// racing retire on another thread always finds the seq) and confirms
+/// it afterwards; snapshots skip unconfirmed entries — a reserved entry
+/// may belong to a submit the engine is about to reject, and capturing
+/// it would resurrect a query no uninterrupted run ever held. `logged`
+/// flips once the submit's commit record is appended to its stream (or
+/// its append definitively failed): the ack-window barrier only lets a
+/// retire pop logged entries, so a delivered coordination can never
+/// name a partner whose record is still in flight.
 struct RegistryEntry {
     bytes: Vec<u8>,
     applied: bool,
     logged: bool,
 }
 
-/// Pending-set bookkeeping shared by both wrappers: seq → encoding (the
-/// snapshot payload) and encoding → seqs (retired-query lookup).
+/// Pending-set bookkeeping: seq → encoding (the snapshot payload) and
+/// encoding → seqs (retired-query lookup).
 #[derive(Default)]
 struct Registry {
     live: BTreeMap<u64, RegistryEntry>,
@@ -133,7 +133,9 @@ struct Registry {
 }
 
 impl Registry {
-    fn insert(&mut self, seq: u64, bytes: Vec<u8>, applied: bool, logged: bool) {
+    /// Reserve `seq` for a submit about to be applied: neither applied
+    /// nor logged yet, so no snapshot captures it and no retire pops it.
+    fn reserve(&mut self, seq: u64, bytes: Vec<u8>) {
         self.by_bytes
             .entry(bytes.clone())
             .or_default()
@@ -142,10 +144,18 @@ impl Registry {
             seq,
             RegistryEntry {
                 bytes,
-                applied,
-                logged,
+                applied: false,
+                logged: false,
             },
         );
+    }
+
+    /// Register a pending query recovered from the store: the engine
+    /// holds it and its record is on the log.
+    fn restore(&mut self, seq: u64, bytes: Vec<u8>) {
+        self.reserve(seq, bytes);
+        self.confirm(seq);
+        self.mark_logged(seq);
     }
 
     /// Mark a reserved seq as applied by the engine (snapshots may now
@@ -177,12 +187,12 @@ impl Registry {
     /// acknowledgment-window barrier: the caller waits out the
     /// partner's in-flight append instead of delivering a coordination
     /// whose partner might never reach the log.
-    fn retire(&mut self, bytes: &[u8], own_seq: Option<u64>) -> Option<u64> {
+    fn retire(&mut self, bytes: &[u8], own_seq: u64) -> Option<u64> {
         let seqs = self.by_bytes.get(bytes)?;
         let pos = seqs.iter().position(|s| {
             self.live
                 .get(s)
-                .is_some_and(|e| e.applied && (e.logged || own_seq == Some(*s)))
+                .is_some_and(|e| e.applied && (e.logged || own_seq == *s))
         })?;
         let seqs = self.by_bytes.get_mut(bytes).expect("checked above");
         let seq = seqs.remove(pos).expect("position in bounds");
@@ -218,188 +228,6 @@ impl Registry {
 
     fn len(&self) -> usize {
         self.live.len()
-    }
-}
-
-/// A single-writer [`IncrementalEngine`] with WAL + snapshot durability.
-pub struct DurableEngine<Q: CoordinationQuery, V, C> {
-    inner: IncrementalEngine<Q, V>,
-    store: CoordStore,
-    codec: C,
-    registry: Registry,
-    next_seq: u64,
-    report: RecoveryReport,
-    /// Last failed background rotation (see [`Self::take_snapshot_error`]).
-    snapshot_error: Option<StoreError>,
-}
-
-impl<Q, V, C> DurableEngine<Q, V, C>
-where
-    Q: CoordinationQuery,
-    V: ComponentEvaluator<Q>,
-    C: QueryCodec<Q>,
-{
-    /// Open (or create) a durable engine at `dir`, recovering any
-    /// pending set a previous process left behind.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        evaluator: V,
-        codec: C,
-        options: DurabilityOptions,
-    ) -> Result<Self, StoreError> {
-        Self::open_with_obs(dir, evaluator, codec, options, ObsRegistry::new())
-    }
-
-    /// Like [`Self::open`], with one observability registry shared by
-    /// the store (WAL append/sync, rotation, replay instruments) and
-    /// the wrapped engine.
-    pub fn open_with_obs(
-        dir: impl AsRef<Path>,
-        evaluator: V,
-        codec: C,
-        options: DurabilityOptions,
-        obs: ObsRegistry,
-    ) -> Result<Self, StoreError> {
-        let recovered = CoordStore::open_with_obs(dir, options.store_options(1), obs.clone())?;
-        let mut inner = IncrementalEngine::new(evaluator);
-        inner.metrics().register(&obs);
-        inner.set_tracer(obs.tracer());
-        let mut registry = Registry::default();
-        for (seq, bytes) in &recovered.live {
-            inner.insert_pending(codec.decode(bytes)?);
-            registry.insert(*seq, bytes.clone(), true, true);
-        }
-        Ok(DurableEngine {
-            inner,
-            store: recovered.store,
-            codec,
-            registry,
-            next_seq: recovered.next_seq,
-            report: recovered.report,
-            snapshot_error: None,
-        })
-    }
-
-    /// Submit a query; on acceptance the mutation is logged before the
-    /// caller is acknowledged.
-    ///
-    /// A [`DurableError::Store`] failure means the in-memory submit
-    /// applied but was **not** made durable (it will not survive a
-    /// crash); the in-memory engine remains usable. A *snapshot*
-    /// failure after a durably-logged submit does not fail the submit —
-    /// the outcome is returned and the error parked for
-    /// [`Self::take_snapshot_error`]; the next due submit retries the
-    /// rotation.
-    pub fn submit(
-        &mut self,
-        query: Q,
-    ) -> Result<SubmitOutcome<Q, V::Delivery>, DurableError<V::Error>> {
-        let mut qbytes = Vec::new();
-        self.codec.encode(&query, &mut qbytes);
-        let outcome = self.inner.submit(query).map_err(DurableError::Engine)?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // Single-writer strict prefix: no append can race a retire, so
-        // the entry is born logged.
-        self.registry.insert(seq, qbytes.clone(), true, true);
-        let mut retired = Vec::with_capacity(outcome.retired.len());
-        for q in &outcome.retired {
-            let mut b = Vec::new();
-            self.codec.encode(q, &mut b);
-            let s = self
-                .registry
-                .retire(&b, None)
-                .expect("retired query was registered pending");
-            retired.push(s);
-        }
-        self.store.append_commit(
-            0,
-            &CommitRecord {
-                seq,
-                query: qbytes,
-                retired,
-            },
-        )?;
-        if self.store.snapshot_due() {
-            if let Err(e) = self.snapshot() {
-                self.snapshot_error = Some(e);
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Take a snapshot now, rotating the WAL epoch.
-    pub fn snapshot(&mut self) -> Result<(), StoreError> {
-        let next_seq = self.next_seq;
-        let entries = self.registry.capture();
-        self.store.snapshot(move || (next_seq, entries))
-    }
-
-    /// The last *background* snapshot failure (a rotation triggered by
-    /// `snapshot_every` during a submit), if any, cleared on read.
-    /// Submits stay durable through the still-open WAL when a rotation
-    /// fails; this surfaces the degraded state for monitoring.
-    pub fn take_snapshot_error(&mut self) -> Option<StoreError> {
-        self.snapshot_error.take()
-    }
-
-    /// What recovery found when this engine was opened.
-    pub fn recovery_report(&self) -> &RecoveryReport {
-        &self.report
-    }
-
-    /// The underlying store (stats, epoch, stream offsets).
-    pub fn store(&self) -> &CoordStore {
-        &self.store
-    }
-
-    /// End offset of the WAL after the most recent record — the clean
-    /// length a crash-point test truncates against.
-    pub fn wal_len(&self) -> u64 {
-        self.store.stream_len(0)
-    }
-
-    /// Pending queries in slot order.
-    pub fn pending(&self) -> impl Iterator<Item = &Q> {
-        self.inner.pending()
-    }
-
-    /// Number of pending queries.
-    pub fn pending_count(&self) -> usize {
-        self.inner.pending_count()
-    }
-
-    /// Number of maintained components.
-    pub fn component_count(&self) -> usize {
-        self.inner.component_count()
-    }
-
-    /// Total queries answered and retired.
-    pub fn delivered(&self) -> u64 {
-        self.inner.delivered()
-    }
-
-    /// The wrapped engine's metrics.
-    pub fn metrics(&self) -> &std::sync::Arc<coord_engine::EngineMetrics> {
-        self.inner.metrics()
-    }
-
-    /// The observability registry shared by the store and the engine.
-    pub fn obs(&self) -> &ObsRegistry {
-        self.store.obs()
-    }
-
-    /// Check the wrapped engine's invariants plus the registry mirror.
-    ///
-    /// # Panics
-    /// Panics with a description if an invariant is violated.
-    pub fn validate_invariants(&mut self) {
-        self.inner.validate_invariants();
-        assert_eq!(
-            self.registry.len(),
-            self.inner.pending_count(),
-            "registry drifted from the pending set"
-        );
     }
 }
 
@@ -457,7 +285,7 @@ where
             // and re-indexed only (the log proved they did not
             // coordinate before the crash).
             inner.insert_pending(codec.decode(bytes)?);
-            registry.insert(*seq, bytes.clone(), true, true);
+            registry.restore(*seq, bytes.clone());
         }
         Ok(DurableShardedEngine {
             inner,
@@ -497,12 +325,7 @@ where
         // reservation is unapplied, so a concurrent snapshot will not
         // capture it (the submit might still be rejected).
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        lockrank::ranked(LockRank::Registry, self.registry.lock()).insert(
-            seq,
-            qbytes.clone(),
-            false,
-            false,
-        );
+        lockrank::ranked(LockRank::Registry, self.registry.lock()).reserve(seq, qbytes.clone());
         let (shard, outcome) = match self.inner.submit_with_shard(query) {
             (_, Err(e)) => {
                 lockrank::ranked(LockRank::Registry, self.registry.lock()).remove(seq);
@@ -529,7 +352,7 @@ where
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             let s = loop {
                 if let Some(s) =
-                    lockrank::ranked(LockRank::Registry, self.registry.lock()).retire(&b, Some(seq))
+                    lockrank::ranked(LockRank::Registry, self.registry.lock()).retire(&b, seq)
                 {
                     break s;
                 }
@@ -684,6 +507,23 @@ where
     pub fn obs(&self) -> &ObsRegistry {
         self.inner.obs()
     }
+
+    /// Check every shard's invariants plus the registry mirror: one
+    /// live seq per pending query. Call it with no submit in flight
+    /// (an in-flight submit holds a reservation the engine may not
+    /// show yet).
+    ///
+    /// # Panics
+    /// Panics with a description if an invariant is violated.
+    pub fn validate_invariants(&self) {
+        self.inner.validate_invariants();
+        let pending = self.inner.pending_count();
+        assert_eq!(
+            lockrank::ranked(LockRank::Registry, self.registry.lock()).len(),
+            pending,
+            "registry drifted from the pending set"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -704,39 +544,86 @@ mod tests {
         v
     }
 
+    type Engine<V = Saturation> = DurableShardedEngine<MiniQuery, V, MiniCodec>;
+
+    /// Open a `shards`-shard engine; one shard is the single-writer case.
+    fn open<V: ComponentEvaluator<MiniQuery> + Clone>(
+        dir: &TempDir,
+        evaluator: V,
+        shards: usize,
+        snapshot_every: Option<u64>,
+    ) -> Engine<V> {
+        DurableShardedEngine::open(
+            dir.path(),
+            evaluator,
+            shards,
+            MiniCodec,
+            opts(snapshot_every),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn pending_set_survives_reopen() {
-        let dir = TempDir::new("durable-basic");
-        {
-            let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
-            assert!(!e.submit(chain(0, Some(1))).unwrap().coordinated());
-            assert!(!e.submit(chain(1, Some(2))).unwrap().coordinated());
-            assert!(!e.submit(chain(10, Some(11))).unwrap().coordinated());
-            assert_eq!(e.pending_count(), 3);
-            e.validate_invariants();
-        } // crash (no clean shutdown exists)
+        for shards in [1, 4] {
+            let dir = TempDir::new("durable-basic");
+            {
+                let e = open(&dir, Saturation, shards, None);
+                std::thread::scope(|s| {
+                    for t in 0..shards as i64 {
+                        let e = &e;
+                        s.spawn(move || {
+                            for c in 0..3 {
+                                let base = 1000 * t + 10 * c;
+                                assert!(!e
+                                    .submit(chain(base, Some(base + 1)))
+                                    .unwrap()
+                                    .coordinated());
+                                assert!(!e
+                                    .submit(chain(base + 1, Some(base + 2)))
+                                    .unwrap()
+                                    .coordinated());
+                            }
+                        });
+                    }
+                });
+                assert_eq!(e.pending_count(), 6 * shards);
+                e.validate_invariants();
+            } // crash (no clean shutdown exists)
 
-        let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
-        assert_eq!(e.recovery_report().records_replayed, 3);
-        assert_eq!(e.pending_count(), 3);
-        assert_eq!(e.component_count(), 2);
-        e.validate_invariants();
-        // The recovered components still coordinate correctly.
-        let r = e.submit(chain(2, None)).unwrap();
-        assert_eq!(names(r.delivery.unwrap()), vec!["q0", "q1", "q2"]);
-        assert_eq!(e.pending_count(), 1);
+            let e = open(&dir, Saturation, shards, None);
+            assert_eq!(e.recovery_report().records_replayed, 6 * shards);
+            assert_eq!(e.pending_count(), 6 * shards);
+            assert_eq!(e.component_count(), 3 * shards);
+            e.validate_invariants();
+            // Each recovered chain still completes.
+            for t in 0..shards as i64 {
+                for c in 0..3 {
+                    let base = 1000 * t + 10 * c;
+                    let r = e.submit(chain(base + 2, None)).unwrap();
+                    let want: Vec<String> = (base..=base + 2).map(|i| format!("q{i}")).collect();
+                    assert_eq!(
+                        names(r.delivery.unwrap()),
+                        want,
+                        "chain {base} lost by recovery"
+                    );
+                }
+            }
+            assert_eq!(e.pending_count(), 0);
+            e.validate_invariants();
+        }
     }
 
     #[test]
     fn retirement_is_durable() {
         let dir = TempDir::new("durable-retire");
         {
-            let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
+            let e = open(&dir, Saturation, 1, None);
             e.submit(chain(0, Some(1))).unwrap();
             let r = e.submit(chain(1, None)).unwrap();
             assert!(r.coordinated());
         }
-        let e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
+        let e = open(&dir, Saturation, 1, None);
         assert_eq!(e.pending_count(), 0, "retired queries resurrected");
         assert_eq!(e.recovery_report().records_replayed, 2);
     }
@@ -745,7 +632,7 @@ mod tests {
     fn duplicate_queries_recover_as_a_multiset() {
         let dir = TempDir::new("durable-dup");
         {
-            let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
+            let e = open(&dir, Saturation, 1, None);
             // Two byte-identical waiters plus one that retires with one
             // of them (saturation retires whole components; both
             // duplicates share a component, so submit a separate pair).
@@ -753,8 +640,9 @@ mod tests {
             e.submit(chain(5, Some(6))).unwrap();
             assert_eq!(e.pending_count(), 2);
         }
-        let e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
+        let e = open(&dir, Saturation, 1, None);
         assert_eq!(e.pending_count(), 2, "duplicate collapsed");
+        e.validate_invariants();
     }
 
     #[test]
@@ -774,13 +662,13 @@ mod tests {
         }
         let dir = TempDir::new("durable-reject");
         {
-            let mut e =
-                DurableEngine::open(dir.path(), RejectNamed("q9"), MiniCodec, opts(None)).unwrap();
+            let e = open(&dir, RejectNamed("q9"), 1, None);
             e.submit(chain(0, Some(1))).unwrap();
             e.submit(chain(9, None)).unwrap_err();
             assert_eq!(e.pending_count(), 1);
+            e.validate_invariants();
         }
-        let e = DurableEngine::open(dir.path(), RejectNamed("q9"), MiniCodec, opts(None)).unwrap();
+        let e = open(&dir, RejectNamed("q9"), 1, None);
         assert_eq!(e.recovery_report().records_replayed, 1);
         assert_eq!(e.pending_count(), 1);
     }
@@ -789,14 +677,13 @@ mod tests {
     fn snapshots_bound_replay_work() {
         let dir = TempDir::new("durable-snap");
         {
-            let mut e =
-                DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(Some(4))).unwrap();
+            let e = open(&dir, Saturation, 1, Some(4));
             for i in 0..10 {
                 e.submit(chain(10 * i, Some(10 * i + 1))).unwrap();
             }
             assert!(e.store().stats().snapshots_taken >= 2);
         }
-        let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(Some(4))).unwrap();
+        let e = open(&dir, Saturation, 1, Some(4));
         let report = e.recovery_report().clone();
         assert!(report.had_snapshot);
         assert!(
@@ -813,42 +700,6 @@ mod tests {
         // Seqs keep advancing across the snapshot boundary.
         e.submit(chain(500, None)).unwrap();
         assert_eq!(e.pending_count(), 10);
-    }
-
-    #[test]
-    fn sharded_pending_set_survives_reopen() {
-        let dir = TempDir::new("durable-sharded");
-        {
-            let e = DurableShardedEngine::open(dir.path(), Saturation, 4, MiniCodec, opts(None))
-                .unwrap();
-            std::thread::scope(|s| {
-                for t in 0..4i64 {
-                    let e = &e;
-                    s.spawn(move || {
-                        for c in 0..3 {
-                            let base = 1000 * t + 10 * c;
-                            e.submit(chain(base, Some(base + 1))).unwrap();
-                            e.submit(chain(base + 1, Some(base + 2))).unwrap();
-                        }
-                    });
-                }
-            });
-            assert_eq!(e.pending_count(), 24);
-        }
-        let e =
-            DurableShardedEngine::open(dir.path(), Saturation, 4, MiniCodec, opts(None)).unwrap();
-        assert_eq!(e.pending_count(), 24);
-        assert_eq!(e.component_count(), 12);
-        // Each recovered chain still completes.
-        for t in 0..4i64 {
-            for c in 0..3 {
-                let base = 1000 * t + 10 * c;
-                let r = e.submit(chain(base + 2, None)).unwrap();
-                assert!(r.coordinated(), "chain {base} lost by recovery");
-                assert_eq!(r.retired.len(), 3);
-            }
-        }
-        assert_eq!(e.pending_count(), 0);
     }
 
     #[test]
@@ -870,11 +721,13 @@ mod tests {
             });
             assert!(e.store().stats().snapshots_taken >= 1);
             assert_eq!(e.pending_count(), 40);
+            e.validate_invariants();
         }
         let e = DurableShardedEngine::open(dir.path(), Saturation, 2, MiniCodec, opts(Some(8)))
             .unwrap();
         assert!(e.recovery_report().had_snapshot);
         assert_eq!(e.pending_count(), 40);
+        e.validate_invariants();
     }
 
     /// Regression: a snapshot racing a submit that the engine later
@@ -956,17 +809,26 @@ mod tests {
     /// popped by a concurrent retirer — only by its own submit.
     #[test]
     fn registry_retire_waits_for_logged_entries() {
+        // `OTHER` is a concurrent retiring submit's own reservation.
+        const OTHER: u64 = 99;
         let mut r = Registry::default();
-        r.insert(1, b"q".to_vec(), true, false); // applied, append in flight
-        assert_eq!(r.retire(b"q", None), None, "unlogged entry popped");
-        assert_eq!(r.retire(b"q", Some(1)), Some(1), "own seq is exempt");
-        r.insert(2, b"q".to_vec(), true, false);
-        assert_eq!(r.retire(b"q", None), None);
+        r.reserve(1, b"q".to_vec());
+        r.confirm(1); // applied, append in flight
+        assert_eq!(r.retire(b"q", OTHER), None, "unlogged entry popped");
+        assert_eq!(r.retire(b"q", 1), Some(1), "own seq is exempt");
+        r.reserve(2, b"q".to_vec());
+        r.confirm(2);
+        assert_eq!(r.retire(b"q", OTHER), None);
         r.mark_logged(2);
-        assert_eq!(r.retire(b"q", None), Some(2));
+        assert_eq!(r.retire(b"q", OTHER), Some(2));
         // Reserved (unapplied) entries stay untouchable either way.
-        r.insert(3, b"q".to_vec(), false, true);
-        assert_eq!(r.retire(b"q", None), None);
+        r.reserve(3, b"q".to_vec());
+        r.mark_logged(3);
+        assert_eq!(r.retire(b"q", OTHER), None);
+        assert_eq!(r.retire(b"q", 3), None);
+        // Recovered entries are applied and logged.
+        r.restore(4, b"q".to_vec());
+        assert_eq!(r.retire(b"q", OTHER), Some(4));
     }
 
     /// A rebalance pass between submits is invisible to durability:
@@ -1006,10 +868,12 @@ mod tests {
                 "commit records not appended: {lens_before:?} → {lens_after:?}"
             );
             assert_eq!(e.pending_count(), 35);
+            e.validate_invariants();
         } // crash
         let e =
             DurableShardedEngine::open(dir.path(), Saturation, 2, MiniCodec, opts(None)).unwrap();
         assert_eq!(e.pending_count(), 35);
+        e.validate_invariants();
         // Every chain — moved or not — still completes.
         for (start, len) in [(0i64, 10i64), (100, 10), (200, 18)] {
             let r = e.submit(chain(start + len - 1, None)).unwrap();
@@ -1017,6 +881,7 @@ mod tests {
             assert_eq!(r.retired.len() as i64, len, "chain at {start}");
         }
         assert_eq!(e.pending_count(), 0);
+        e.validate_invariants();
     }
 
     #[test]
@@ -1028,12 +893,15 @@ mod tests {
             for i in 0..6i64 {
                 e.submit(chain(100 * i, Some(100 * i + 1))).unwrap();
             }
+            e.validate_invariants();
         }
         let e =
             DurableShardedEngine::open(dir.path(), Saturation, 2, MiniCodec, opts(None)).unwrap();
         assert_eq!(e.pending_count(), 6);
+        e.validate_invariants();
         let r = e.submit(chain(1, None)).unwrap();
         assert!(r.coordinated());
         assert_eq!(r.retired.len(), 2);
+        e.validate_invariants();
     }
 }

@@ -8,17 +8,18 @@
 //!   prefix is exactly a prefix of acknowledged mutations,
 //! * [`wal`] — epoch-stamped append-only log files with configurable
 //!   [`wal::SyncPolicy`] and torn-tail truncation on reopen,
-//! * [`store`] — the store directory: a WAL stream per shard (records
-//!   spread round-robin for append parallelism) under a shared snapshot
-//!   epoch, tmp+rename snapshot rotation, and order-independent
-//!   set-difference recovery,
+//! * [`store`] — the store directory: a WAL stream per shard (each
+//!   record appended to the stream of the shard that ran the submit)
+//!   under a shared snapshot epoch, tmp+rename snapshot rotation, and
+//!   order-independent set-difference recovery,
 //! * [`codec`] — pluggable query serialization ([`codec::QueryCodec`]),
 //!   keeping this crate below `coord-core` in the workspace DAG,
-//! * [`durable`] — [`DurableEngine`] / [`DurableShardedEngine`]
-//!   wrappers: submit → apply → log one atomic commit record →
-//!   acknowledge; recovery replays `snapshot + log tail` with
-//!   `insert_pending` (no re-evaluation), so replay is *faster* than
-//!   live submission — the `durability` bench asserts it.
+//! * [`durable`] — the [`DurableShardedEngine`] wrapper (one shard is
+//!   the single-writer, strict-prefix case): submit → apply → log one
+//!   atomic commit record → acknowledge; recovery replays
+//!   `snapshot + log tail` with `insert_pending` (no re-evaluation), so
+//!   replay is *faster* than live submission — the `durability` bench
+//!   asserts it.
 //!
 //! `coord_core::persist` wires the entangled-query codec in and exposes
 //! `DurableSharedEngine` so service callers opt into durability with
@@ -37,7 +38,7 @@ pub mod testkit;
 pub mod wal;
 
 pub use codec::QueryCodec;
-pub use durable::{DurabilityOptions, DurableEngine, DurableShardedEngine};
+pub use durable::{DurabilityOptions, DurableShardedEngine};
 pub use error::{DurableError, StoreError};
 pub use store::{CommitRecord, CoordStore, RecoveryReport, StoreOptions, StoreStatsSnapshot};
 pub use wal::SyncPolicy;

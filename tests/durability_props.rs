@@ -1,15 +1,17 @@
-//! Recovery determinism for the durable online engines:
+//! Recovery determinism for the durable online engine:
 //! `replay(snapshot + wal) ≡ live engine` over random submit/retire
-//! interleavings, crash-point truncation fuzz against the acknowledged
-//! prefix, and sharded recovery with concurrent submitters.
+//! interleavings and crash-point truncation fuzz against the
+//! acknowledged prefix (both single-writer: one shard, one stream),
+//! and sharded recovery with concurrent submitters.
 
 use proptest::prelude::*;
 use social_coordination::core::engine::CoordinationEngine;
 use social_coordination::core::persist::{
-    DurabilityOptions, DurableCoordinationEngine, DurableSharedEngine, EntangledQueryCodec,
+    DurabilityOptions, DurableSharedEngine, EntangledQueryCodec,
 };
 use social_coordination::core::scc::SccCoordinator;
 use social_coordination::core::EntangledQuery;
+use social_coordination::db::Database;
 use social_coordination::gen::workloads::{interleave_arrivals, partner_query, pool_db};
 use social_coordination::store::temp::TempDir;
 use social_coordination::store::wal::read_wal;
@@ -49,6 +51,20 @@ fn opts(snapshot_every: Option<u64>) -> DurabilityOptions {
     }
 }
 
+/// The single-writer durable engine: one shard, one WAL stream.
+fn open_single<'a>(
+    db: &'a Database,
+    dir: &std::path::Path,
+    snapshot_every: Option<u64>,
+) -> DurableSharedEngine<'a> {
+    DurableSharedEngine::open_with(db, dir, 1, opts(snapshot_every)).unwrap()
+}
+
+/// End offset of the single-writer engine's one WAL stream.
+fn wal_len(engine: &DurableSharedEngine<'_>) -> u64 {
+    engine.wal_stream_lens()[0]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -78,9 +94,7 @@ proptest! {
         let mut live = CoordinationEngine::new(&db);
         // Durable engine: submit a prefix, then "crash" (drop).
         {
-            let mut durable =
-                DurableCoordinationEngine::open_with(&db, dir.path(), opts(snapshot_every))
-                    .unwrap();
+            let durable = open_single(&db, dir.path(), snapshot_every);
             for q in &arrivals[..crash_at] {
                 durable.submit(q.clone()).unwrap();
                 live.submit(q.clone()).unwrap();
@@ -88,13 +102,12 @@ proptest! {
         }
 
         let delivered_before_crash = live.delivered();
-        let mut recovered =
-            DurableCoordinationEngine::open_with(&db, dir.path(), opts(snapshot_every)).unwrap();
+        let recovered = open_single(&db, dir.path(), snapshot_every);
         if snapshot_every.is_some() && crash_at as u64 >= snapshot_every.unwrap() {
             prop_assert!(recovered.recovery_report().had_snapshot);
         }
         prop_assert_eq!(
-            sorted_names(recovered.pending()),
+            sorted_names(&recovered.pending()),
             sorted_names(live.pending().iter().copied()),
             "recovered pending set diverged at crash point {}", crash_at
         );
@@ -119,13 +132,13 @@ proptest! {
             live.delivered() - delivered_before_crash
         );
         prop_assert_eq!(
-            sorted_names(recovered.pending()),
+            sorted_names(&recovered.pending()),
             sorted_names(live.pending().iter().copied())
         );
+        recovered.validate_invariants();
 
         // Fresh batch cross-check: recovery left nothing coordinatable.
-        let pending: Vec<EntangledQuery> =
-            recovered.pending().into_iter().cloned().collect();
+        let pending: Vec<EntangledQuery> = recovered.pending();
         let batch = SccCoordinator::new(&db).run(&pending).unwrap();
         prop_assert!(batch.best().is_none());
     }
@@ -151,15 +164,11 @@ proptest! {
         // Drive, recording (wal end, pending set) after every ack.
         let mut timeline: Vec<(u64, Vec<String>)> = vec![(0, Vec::new())];
         {
-            let mut durable =
-                DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
-            timeline.push((durable.wal_len(), Vec::new()));
+            let durable = open_single(&db, dir.path(), None);
+            timeline.push((wal_len(&durable), Vec::new()));
             for q in &arrivals {
                 durable.submit(q.clone()).unwrap();
-                timeline.push((
-                    durable.wal_len(),
-                    sorted_names(durable.pending().iter().copied()),
-                ));
+                timeline.push((wal_len(&durable), sorted_names(&durable.pending())));
             }
         }
         let wal = std::fs::read_dir(dir.path())
@@ -176,8 +185,7 @@ proptest! {
 
         let crash_dir = TempDir::new("durability-cut-case");
         std::fs::write(crash_dir.path().join(wal.file_name().unwrap()), &full[..cut]).unwrap();
-        let mut recovered =
-            DurableCoordinationEngine::open_with(&db, crash_dir.path(), opts(None)).unwrap();
+        let recovered = open_single(&db, crash_dir.path(), None);
         let expected = &timeline
             .iter()
             .rev()
@@ -185,7 +193,7 @@ proptest! {
             .unwrap()
             .1;
         prop_assert_eq!(
-            &sorted_names(recovered.pending().iter().copied()),
+            &sorted_names(&recovered.pending()),
             expected,
             "cut at byte {} of {}", cut, full.len()
         );
@@ -193,10 +201,8 @@ proptest! {
         // The truncated store remains appendable and durable.
         recovered.submit(partner_query(999, &[998])).unwrap();
         drop(recovered);
-        let reopened =
-            DurableCoordinationEngine::open_with(&db, crash_dir.path(), opts(None)).unwrap();
-        prop_assert!(sorted_names(reopened.pending().iter().copied())
-            .contains(&"q999".to_string()));
+        let reopened = open_single(&db, crash_dir.path(), None);
+        prop_assert!(sorted_names(&reopened.pending()).contains(&"q999".to_string()));
     }
 
     /// The memo/WAL crash window: the keystone submit coordinates the
@@ -220,8 +226,7 @@ proptest! {
         let dir = TempDir::new("memo-crash-window");
 
         let (wal_before, original) = {
-            let mut durable =
-                DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+            let durable = open_single(&db, dir.path(), None);
             for q in &chain[..size - 1] {
                 prop_assert!(!durable.submit(q.clone()).unwrap().coordinated());
             }
@@ -230,7 +235,7 @@ proptest! {
             for p in 0..probe {
                 durable.submit(partner_query(500 + p, &[600 + p])).unwrap();
             }
-            let wal_before = durable.wal_len();
+            let wal_before = wal_len(&durable);
             let r = durable.submit(keystone.clone()).unwrap();
             prop_assert!(r.coordinated());
             let mut answers = r.answers;
@@ -255,8 +260,7 @@ proptest! {
 
         // Recover (fresh engine, fresh memo state): the whole chain is
         // pending again, as if the keystone had never arrived.
-        let mut recovered =
-            DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+        let recovered = open_single(&db, dir.path(), None);
         recovered.validate_invariants();
         let mut expected: Vec<String> = sorted_names(chain[..size - 1].iter());
         for p in 0..probe {
@@ -264,7 +268,7 @@ proptest! {
         }
         expected.sort_unstable();
         prop_assert_eq!(
-            sorted_names(recovered.pending().iter().copied()),
+            sorted_names(&recovered.pending()),
             expected,
             "recovery must replay exactly the pre-keystone pending set"
         );
@@ -317,6 +321,7 @@ fn sharded_durable_engine_recovers_concurrent_workload() {
             engine.pending_count(),
             THREADS * CHAINS_PER_THREAD * (CHAIN - 1)
         );
+        engine.validate_invariants();
     } // crash
 
     let engine = DurableSharedEngine::open_with(&db, dir.path(), THREADS, opts(Some(16))).unwrap();
@@ -325,6 +330,7 @@ fn sharded_durable_engine_recovers_concurrent_workload() {
         THREADS * CHAINS_PER_THREAD * (CHAIN - 1)
     );
     assert_eq!(engine.component_count(), THREADS * CHAINS_PER_THREAD);
+    engine.validate_invariants();
     // Every recovered chain completes when its free tail arrives.
     for t in 0..THREADS {
         for c in 0..CHAINS_PER_THREAD {
@@ -336,6 +342,7 @@ fn sharded_durable_engine_recovers_concurrent_workload() {
         }
     }
     assert_eq!(engine.pending_count(), 0);
+    engine.validate_invariants();
 }
 
 /// The sharded acknowledgment-window invariant, fuzzed across shard
@@ -461,7 +468,7 @@ fn crash_between_snapshot_and_new_wals_recovers() {
     let db = pool_db(POOL);
     let dir = TempDir::new("durable-rotation-crash");
     {
-        let mut engine = DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+        let engine = open_single(&db, dir.path(), None);
         for q in group(0, 4, false).into_iter().take(3) {
             engine.submit(q).unwrap();
         }
@@ -477,7 +484,8 @@ fn crash_between_snapshot_and_new_wals_recovers() {
             std::fs::remove_file(p).unwrap();
         }
     }
-    let engine = DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+    let engine = open_single(&db, dir.path(), None);
     assert!(engine.recovery_report().had_snapshot);
     assert_eq!(engine.pending().len(), 3);
+    engine.validate_invariants();
 }
